@@ -5,6 +5,7 @@
 package tevot_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -27,14 +28,18 @@ func ablationSetup(b *testing.B, fu circuits.FU, trainN, testN int) (u *core.FUn
 	corner := cells.Corner{V: 0.85, T: 25}
 	trainS := workload.Random(fu.IsFloat(), trainN+1, 11)
 	testS := workload.Random(fu.IsFloat(), testN+1, 12)
-	if _, err := u.CalibrateBaseClock(corner, trainS); err != nil {
+	if _, err := u.CalibrateBaseClockOptsContext(context.Background(), corner, trainS, core.CharacterizeOptions{}); err != nil {
 		b.Fatal(err)
 	}
-	train, err = core.CharacterizeWithSpeedups(u, corner, trainS, []float64{0.10})
+	clocks, err := u.ClockPeriods(corner, []float64{0.10})
 	if err != nil {
 		b.Fatal(err)
 	}
-	test, err = core.CharacterizeWithSpeedups(u, corner, testS, []float64{0.10})
+	train, err = core.CharacterizeOptsContext(context.Background(), u, corner, trainS, clocks, core.CharacterizeOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	test, err = core.CharacterizeOptsContext(context.Background(), u, corner, testS, clocks, core.CharacterizeOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -148,7 +153,7 @@ func BenchmarkAblationAdderTopology(b *testing.B) {
 			var mean, max float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tr, err := core.Characterize(u, corner, s, nil)
+				tr, err := core.CharacterizeOptsContext(context.Background(), u, corner, s, nil, core.CharacterizeOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

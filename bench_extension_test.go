@@ -4,6 +4,7 @@
 package tevot_test
 
 import (
+	"context"
 	"testing"
 
 	"tevot/internal/cells"
@@ -42,7 +43,7 @@ func BenchmarkExtensionAging(b *testing.B) {
 
 	fresh := agedUnit(b, 0)
 	aged := agedUnit(b, 10)
-	if _, err := fresh.CalibrateBaseClock(corner, train); err != nil {
+	if _, err := fresh.CalibrateBaseClockOptsContext(context.Background(), corner, train, core.CharacterizeOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	clocks, err := fresh.ClockPeriods(corner, []float64{0.15})
@@ -53,7 +54,7 @@ func BenchmarkExtensionAging(b *testing.B) {
 	var onFresh, onAged, retrained, lastAgedTER float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trFresh, err := core.Characterize(fresh, corner, train, clocks)
+		trFresh, err := core.CharacterizeOptsContext(context.Background(), fresh, corner, train, clocks, core.CharacterizeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,11 +62,11 @@ func BenchmarkExtensionAging(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		teFresh, err := core.Characterize(fresh, corner, test, clocks)
+		teFresh, err := core.CharacterizeOptsContext(context.Background(), fresh, corner, test, clocks, core.CharacterizeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		teAged, err := core.Characterize(aged, corner, test, clocks)
+		teAged, err := core.CharacterizeOptsContext(context.Background(), aged, corner, test, clocks, core.CharacterizeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func BenchmarkExtensionAging(b *testing.B) {
 		if _, onAged, err = core.EvaluateAll(model, []*core.Trace{teAged}); err != nil {
 			b.Fatal(err)
 		}
-		trAged, err := core.Characterize(aged, corner, train, clocks)
+		trAged, err := core.CharacterizeOptsContext(context.Background(), aged, corner, train, clocks, core.CharacterizeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +120,7 @@ func BenchmarkExtensionPostLayout(b *testing.B) {
 			var mean, max float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tr, err := core.Characterize(u, corner, s, nil)
+				tr, err := core.CharacterizeOptsContext(context.Background(), u, corner, s, nil, core.CharacterizeOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -151,7 +152,7 @@ func BenchmarkExtensionProcessSpread(b *testing.B) {
 			p := cells.DefaultProcess(die)
 			opts.Process = &p
 			u.Opts = opts
-			base, err := u.CalibrateBaseClock(corner, train)
+			base, err := u.CalibrateBaseClockOptsContext(context.Background(), corner, train, core.CharacterizeOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -9,6 +9,7 @@
 package tevot_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -68,7 +69,7 @@ func BenchmarkFig1DynamicDelay(b *testing.B) {
 	var minD, maxD float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr, err := core.Characterize(u, corner, s, nil)
+		tr, err := core.CharacterizeOptsContext(context.Background(), u, corner, s, nil, core.CharacterizeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -46,7 +47,7 @@ func TestServeAbuseSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := core.Characterize(u, cells.Corner{V: 0.88, T: 50}, workload.RandomInt(401, 3), nil)
+	tr, err := core.CharacterizeOptsContext(context.Background(), u, cells.Corner{V: 0.88, T: 50}, workload.RandomInt(401, 3), nil, core.CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,7 +238,11 @@ func saveModels(ctx context.Context, lab *experiments.Lab, cfg runner.Config, di
 					if _, err := u.CalibrateBaseClockOptsContext(ctx, corner, train, opts); err != nil {
 						return savedModel{}, err
 					}
-					tr, err := core.CharacterizeWithSpeedupsOptsContext(ctx, u, corner, train, scale.Speedups, opts)
+					clocks, err := u.ClockPeriods(corner, scale.Speedups)
+					if err != nil {
+						return savedModel{}, err
+					}
+					tr, err := core.CharacterizeOptsContext(ctx, u, corner, train, clocks, opts)
 					if err != nil {
 						return savedModel{}, err
 					}

@@ -18,7 +18,7 @@ func Example() {
 	corner := tevot.Corner{V: 0.85, T: 50}
 	train := tevot.RandomWorkload(tevot.IntAdd32, 5000, 1)
 
-	base, err := fu.CalibrateBaseClock(corner, train)
+	base, err := tevot.CalibrateBaseClock(fu, corner, train)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func Example() {
 	}
 
 	test := tevot.RandomWorkload(tevot.IntAdd32, 1000, 2)
-	errs, err := model.PredictErrors(corner, test, base/1.10)
+	errs, err := model.Errors(corner, test, base/1.10)
 	if err != nil {
 		log.Fatal(err)
 	}

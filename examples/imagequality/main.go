@@ -47,7 +47,7 @@ func main() {
 		}
 		// Rate the unit on random data, then model it.
 		train := tevot.RandomWorkload(fuKind, 1200, 7)
-		if _, err := u.CalibrateBaseClock(corner, train); err != nil {
+		if _, err := tevot.CalibrateBaseClock(u, corner, train); err != nil {
 			log.Fatal(err)
 		}
 		trTrain, err := tevot.CharacterizeWithSpeedups(u, corner, train, []float64{speedup})

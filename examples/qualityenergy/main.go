@@ -53,7 +53,7 @@ func main() {
 			log.Fatal(err)
 		}
 		train := tevot.RandomWorkload(fuKind, 900, int64(fuKind)+3)
-		base, err := u.CalibrateBaseClock(nominal, train)
+		base, err := tevot.CalibrateBaseClock(u, nominal, train)
 		if err != nil {
 			log.Fatal(err)
 		}

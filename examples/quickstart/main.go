@@ -26,7 +26,7 @@ func main() {
 
 	// 3. Characterize: random workload, measured error-free base clock.
 	train := tevot.RandomWorkload(tevot.IntAdd32, 3000, 1)
-	base, err := fu.CalibrateBaseClock(corner, train)
+	base, err := tevot.CalibrateBaseClock(fu, corner, train)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		base, err := fu.CalibrateBaseClock(corner, train)
+		base, err := tevot.CalibrateBaseClock(fu, corner, train)
 		if err != nil {
 			log.Fatal(err)
 		}

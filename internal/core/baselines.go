@@ -28,9 +28,19 @@ func (m *Model) Name() string {
 	return "TEVoT-NH"
 }
 
-// Errors implements ErrorPredictor for the TEVoT model.
+// Errors implements ErrorPredictor for the TEVoT model: cycle i, which
+// applies s.Pairs[i+1] after s.Pairs[i], errs when its predicted delay
+// exceeds the clock period tclk (ps).
 func (m *Model) Errors(corner cells.Corner, s *workload.Stream, tclk float64) ([]bool, error) {
-	return m.PredictErrors(corner, s, tclk)
+	delays, err := m.PredictDelays(corner, s)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bool, len(delays))
+	for i, d := range delays {
+		out[i] = d > tclk
+	}
+	return out, nil
 }
 
 // DelayBased is the paper's first baseline (from instruction-level

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -40,7 +41,7 @@ func BenchmarkCharacterizeParallel(b *testing.B) {
 				// MemoOff pins this benchmark to the uncached kernel so its
 				// cycles/s stays comparable across the committed baselines;
 				// BenchmarkCharacterizeMemo owns the cached numbers.
-				tr, err := CharacterizeOpts(u, corner, stream, clocks, CharacterizeOptions{Workers: w, MemoOff: true})
+				tr, err := CharacterizeOptsContext(context.Background(), u, corner, stream, clocks, CharacterizeOptions{Workers: w, MemoOff: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -88,7 +89,7 @@ func BenchmarkCharacterizeMemo(b *testing.B) {
 			var hits, misses int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tr, err := CharacterizeOpts(u, corner, stream, clocks, CharacterizeOptions{Workers: 1, MemoOff: memoOff})
+				tr, err := CharacterizeOptsContext(context.Background(), u, corner, stream, clocks, CharacterizeOptions{Workers: 1, MemoOff: memoOff})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -120,7 +121,7 @@ func TestCharacterizeBasics(t *testing.T) {
 	}
 	c := cells.Corner{V: 0.85, T: 25}
 	s := workload.RandomInt(201, 11)
-	tr, err := Characterize(u, c, s, nil)
+	tr, err := CharacterizeOptsContext(context.Background(), u, c, s, nil, CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestCharacterizeBasics(t *testing.T) {
 		t.Errorf("mean delay %v inconsistent", tr.MeanDelay())
 	}
 	// Errors at a clock equal to static delay: none.
-	tr2, err := Characterize(u, c, s, []float64{tr.StaticDelay * 1.01})
+	tr2, err := CharacterizeOptsContext(context.Background(), u, c, s, []float64{tr.StaticDelay * 1.01}, CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +143,14 @@ func TestCharacterizeBasics(t *testing.T) {
 		t.Errorf("TER at above-static clock = %v, want 0", ter)
 	}
 	// Errors at a tiny clock: almost every active cycle errs.
-	tr3, err := Characterize(u, c, s, []float64{1})
+	tr3, err := CharacterizeOptsContext(context.Background(), u, c, s, []float64{1}, CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ter := tr3.TER(0); ter < 0.9 {
 		t.Errorf("TER at 1 ps clock = %v, want near 1", ter)
 	}
-	if _, err := Characterize(u, c, &workload.Stream{Name: "x"}, nil); err == nil {
+	if _, err := CharacterizeOptsContext(context.Background(), u, c, &workload.Stream{Name: "x"}, nil, CharacterizeOptions{}); err == nil {
 		t.Error("accepted empty stream")
 	}
 }
@@ -161,7 +162,7 @@ func TestCalibrateBaseClock(t *testing.T) {
 	}
 	c := cells.Corner{V: 0.9, T: 0}
 	s := workload.RandomInt(301, 13)
-	base, err := u.CalibrateBaseClock(c, s)
+	base, err := u.CalibrateBaseClockOptsContext(context.Background(), c, s, CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,11 @@ func TestCalibrateBaseClock(t *testing.T) {
 	}
 	// At any positive speedup from the measured base, at least the
 	// max-delay cycle must err... (its delay > base/(1+s)).
-	tr, err := CharacterizeWithSpeedups(u, c, s, []float64{0.10})
+	clocks, err := u.ClockPeriods(c, []float64{0.10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := CharacterizeOptsContext(context.Background(), u, c, s, clocks, CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +210,18 @@ func TestPipelineEndToEnd(t *testing.T) {
 	for ci, c := range corners {
 		train := workload.RandomInt(2501, int64(100+ci))
 		test := workload.RandomInt(801, int64(200+ci))
-		if _, err := u.CalibrateBaseClock(c, train); err != nil {
+		if _, err := u.CalibrateBaseClockOptsContext(context.Background(), c, train, CharacterizeOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		trTrain, err := CharacterizeWithSpeedups(u, c, train, speedups)
+		clocks, err := u.ClockPeriods(c, speedups)
 		if err != nil {
 			t.Fatal(err)
 		}
-		trTest, err := CharacterizeWithSpeedups(u, c, test, speedups)
+		trTrain, err := CharacterizeOptsContext(context.Background(), u, c, train, clocks, CharacterizeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trTest, err := CharacterizeOptsContext(context.Background(), u, c, test, clocks, CharacterizeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +290,7 @@ func TestTrainRejectsMixedFUs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cells.Corner{V: 1, T: 25}
-	tr, err := Characterize(u, c, workload.RandomInt(51, 1), nil)
+	tr, err := CharacterizeOptsContext(context.Background(), u, c, workload.RandomInt(51, 1), nil, CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +308,7 @@ func TestDelayBasedRequiresOfflineCorner(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cells.Corner{V: 1, T: 25}
-	tr, err := Characterize(u, c, workload.RandomInt(51, 1), nil)
+	tr, err := CharacterizeOptsContext(context.Background(), u, c, workload.RandomInt(51, 1), nil, CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +328,7 @@ func TestGroundTruthPredictor(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cells.Corner{V: 0.85, T: 50}
-	tr, err := Characterize(u, c, workload.RandomInt(101, 3), []float64{500})
+	tr, err := CharacterizeOptsContext(context.Background(), u, c, workload.RandomInt(101, 3), []float64{500}, CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +355,7 @@ func TestPredictDelaysConsistency(t *testing.T) {
 	}
 	c := cells.Corner{V: 0.9, T: 25}
 	s := workload.RandomInt(401, 5)
-	tr, err := Characterize(u, c, s, nil)
+	tr, err := CharacterizeOptsContext(context.Background(), u, c, s, nil, CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,13 +379,13 @@ func TestPredictDelaysConsistency(t *testing.T) {
 	}
 	// Predicting errors at clock 0 marks everything with positive
 	// predicted delay.
-	errs, err := m.PredictErrors(c, s, 0)
+	errs, err := m.Errors(c, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range errs {
 		if errs[i] != (delays[i] > 0) {
-			t.Fatal("PredictErrors inconsistent with PredictDelays")
+			t.Fatal("Errors inconsistent with PredictDelays")
 		}
 	}
 }

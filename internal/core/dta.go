@@ -192,19 +192,6 @@ func (o CharacterizeOptions) shardCount(n int) int {
 	return k
 }
 
-// Characterize runs back-annotated gate-level simulation of the unit at
-// a corner over the stream — the paper's DTA phase. clocks lists the
-// capture periods (ps) at which ground-truth errors are evaluated; it
-// may be empty when only delays are needed (e.g. Fig. 3).
-func Characterize(u *FUnit, corner cells.Corner, s *workload.Stream, clocks []float64) (*Trace, error) {
-	return CharacterizeContext(context.Background(), u, corner, s, clocks)
-}
-
-// CharacterizeOpts is Characterize with explicit execution options.
-func CharacterizeOpts(u *FUnit, corner cells.Corner, s *workload.Stream, clocks []float64, opts CharacterizeOptions) (*Trace, error) {
-	return CharacterizeOptsContext(context.Background(), u, corner, s, clocks, opts)
-}
-
 // validateCharacterizeInputs rejects the inputs that would otherwise
 // surface as indexing panics deep in the simulator (nil unit or stream)
 // or as silent garbage (non-positive or NaN capture clocks, NaN float
@@ -242,16 +229,19 @@ func validateCharacterizeInputs(u *FUnit, s *workload.Stream, clocks []float64) 
 	return nil
 }
 
-// CharacterizeContext is Characterize with cooperative cancellation: the
-// simulation loop checks ctx every few hundred cycles, so a sweep
+// CharacterizeOptsContext runs back-annotated gate-level simulation of
+// the unit at a corner over the stream — the paper's DTA phase — and is
+// the one characterization entry point. clocks lists the capture
+// periods (ps) at which ground-truth errors are evaluated; it may be
+// empty when only delays are needed (e.g. Fig. 3). To capture at
+// fractional speedups over the unit's base clock, derive the periods
+// with u.ClockPeriods first.
+//
+// The simulation loop checks ctx every few hundred cycles, so a sweep
 // runner's per-task deadline or a SIGINT aborts a multi-minute cell
-// promptly instead of leaking it to completion in the background.
-func CharacterizeContext(ctx context.Context, u *FUnit, corner cells.Corner, s *workload.Stream, clocks []float64) (*Trace, error) {
-	return CharacterizeOptsContext(ctx, u, corner, s, clocks, CharacterizeOptions{})
-}
-
-// CharacterizeOptsContext is the full-control characterization entry
-// point: cooperative cancellation plus sharded parallel simulation.
+// promptly instead of leaking it to completion in the background. The
+// zero CharacterizeOptions simulates with GOMAXPROCS shards and the
+// transition memo on.
 //
 // Sharding argument: cycle i's dynamic delay depends only on the settled
 // state at pair i and the transition to pair i+1. Because the netlist is
@@ -419,30 +409,4 @@ func characterizeShard(ctx context.Context, r *sim.Runner, s *workload.Stream, c
 		prev = nil // streaming mode: the runner keeps its settled state
 	}
 	return nil
-}
-
-// CharacterizeWithSpeedups is Characterize with the capture periods
-// derived from the unit's error-free base clock at the corner:
-// period_s = base / (1 + s) for each fractional speedup s.
-func CharacterizeWithSpeedups(u *FUnit, corner cells.Corner, s *workload.Stream, speedups []float64) (*Trace, error) {
-	return CharacterizeWithSpeedupsContext(context.Background(), u, corner, s, speedups)
-}
-
-// CharacterizeWithSpeedupsContext is CharacterizeWithSpeedups with
-// cooperative cancellation (see CharacterizeContext).
-func CharacterizeWithSpeedupsContext(ctx context.Context, u *FUnit, corner cells.Corner, s *workload.Stream, speedups []float64) (*Trace, error) {
-	return CharacterizeWithSpeedupsOptsContext(ctx, u, corner, s, speedups, CharacterizeOptions{})
-}
-
-// CharacterizeWithSpeedupsOptsContext is CharacterizeWithSpeedupsContext
-// with explicit execution options (see CharacterizeOptions).
-func CharacterizeWithSpeedupsOptsContext(ctx context.Context, u *FUnit, corner cells.Corner, s *workload.Stream, speedups []float64, opts CharacterizeOptions) (*Trace, error) {
-	if u == nil {
-		return nil, fmt.Errorf("core: CharacterizeWithSpeedups called with a nil functional unit")
-	}
-	clocks, err := u.ClockPeriods(corner, speedups)
-	if err != nil {
-		return nil, err
-	}
-	return CharacterizeOptsContext(ctx, u, corner, s, clocks, opts)
 }

@@ -41,7 +41,7 @@ func TestCharacterizeRejectsBadInputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Characterize(tc.u, corner, tc.s, tc.clocks)
+			_, err := CharacterizeOptsContext(context.Background(), tc.u, corner, tc.s, tc.clocks, CharacterizeOptions{})
 			if err == nil {
 				t.Fatalf("Characterize accepted %s", tc.name)
 			}
@@ -63,7 +63,7 @@ func TestCharacterizeRejectsNaNOperands(t *testing.T) {
 	s := workload.RandomFloat(16, 100, 3)
 	s.Name = "poisoned"
 	s.Pairs[5].B = circuits.BitsFromFloat32(float32(math.NaN()))
-	_, err = Characterize(u, cells.Corner{V: 0.9, T: 25}, s, nil)
+	_, err = CharacterizeOptsContext(context.Background(), u, cells.Corner{V: 0.9, T: 25}, s, nil, CharacterizeOptions{})
 	if err == nil {
 		t.Fatal("Characterize accepted a NaN operand on a float unit")
 	}
@@ -78,14 +78,14 @@ func TestCharacterizeRejectsNaNOperands(t *testing.T) {
 	}
 	si := workload.RandomInt(16, 3)
 	si.Pairs[5].B = circuits.BitsFromFloat32(float32(math.NaN()))
-	if _, err := Characterize(ui, cells.Corner{V: 0.9, T: 25}, si, nil); err != nil {
+	if _, err := CharacterizeOptsContext(context.Background(), ui, cells.Corner{V: 0.9, T: 25}, si, nil, CharacterizeOptions{}); err != nil {
 		t.Fatalf("integer unit rejected a NaN bit pattern: %v", err)
 	}
 }
 
-// TestCharacterizeContextCancellation: an already-expired deadline stops
-// the simulation loop promptly with the context's error.
-func TestCharacterizeContextCancellation(t *testing.T) {
+// TestCharacterizeCancellation: an already-expired deadline stops the
+// simulation loop promptly with the context's error.
+func TestCharacterizeCancellation(t *testing.T) {
 	u, err := NewFUnit(circuits.IntMul32)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestCharacterizeContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err = CharacterizeContext(ctx, u, cells.Corner{V: 0.85, T: 50}, workload.RandomInt(20000, 4), nil)
+	_, err = CharacterizeOptsContext(ctx, u, cells.Corner{V: 0.85, T: 50}, workload.RandomInt(20000, 4), nil, CharacterizeOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

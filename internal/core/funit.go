@@ -57,13 +57,7 @@ func NewFUnit(fu circuits.FU) (*FUnit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FUnit{
-		FU:    fu,
-		NL:    nl,
-		Opts:  sta.DefaultOptions(),
-		cache: make(map[cells.Corner]*sta.Result),
-		base:  make(map[cells.Corner]float64),
-	}, nil
+	return NewFUnitFromNetlist(fu, nl)
 }
 
 // Static returns (and caches) the STA result at a corner. Concurrent
@@ -170,22 +164,11 @@ func (u *FUnit) SetBaseClock(c cells.Corner, ps float64) error {
 	return nil
 }
 
-// CalibrateBaseClock measures the unit's max dynamic delay over a stream
-// at a corner and installs it as the base clock, returning it. This is
-// the extra characterization pass that defines "fastest error-free
+// CalibrateBaseClockOptsContext measures the unit's max dynamic delay
+// over a stream at a corner (one CharacterizeOptsContext pass with the
+// given options) and installs it as the base clock, returning it. This
+// is the extra characterization pass that defines "fastest error-free
 // clock" in the paper's experimental setup.
-func (u *FUnit) CalibrateBaseClock(c cells.Corner, s *workload.Stream) (float64, error) {
-	return u.CalibrateBaseClockContext(context.Background(), c, s)
-}
-
-// CalibrateBaseClockContext is CalibrateBaseClock with cooperative
-// cancellation (see CharacterizeContext).
-func (u *FUnit) CalibrateBaseClockContext(ctx context.Context, c cells.Corner, s *workload.Stream) (float64, error) {
-	return u.CalibrateBaseClockOptsContext(ctx, c, s, CharacterizeOptions{})
-}
-
-// CalibrateBaseClockOptsContext is CalibrateBaseClockContext with
-// explicit characterization options (see CharacterizeOptions).
 func (u *FUnit) CalibrateBaseClockOptsContext(ctx context.Context, c cells.Corner, s *workload.Stream, opts CharacterizeOptions) (float64, error) {
 	tr, err := CharacterizeOptsContext(ctx, u, c, s, nil, opts)
 	if err != nil {
@@ -246,6 +229,10 @@ func NewFUnitFromNetlist(fu circuits.FU, nl *netlist.Netlist) (*FUnit, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
+	// The netlist caches its topological order and CSR view on first
+	// use without synchronization; build both now, before concurrent
+	// characterizations of the shared unit create runners.
+	nl.CSR()
 	return &FUnit{
 		FU:    fu,
 		NL:    nl,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"tevot/internal/cells"
@@ -41,12 +42,12 @@ func TestCalibrateBaseClockErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Invalid corner propagates.
-	if _, err := u.CalibrateBaseClock(cells.Corner{V: 0.2, T: 25}, workload.RandomInt(50, 1)); err == nil {
+	if _, err := u.CalibrateBaseClockOptsContext(context.Background(), cells.Corner{V: 0.2, T: 25}, workload.RandomInt(50, 1), CharacterizeOptions{}); err == nil {
 		t.Error("calibration accepted a sub-threshold corner")
 	}
 	// A stream that never changes inputs has no activity to measure.
 	quiet := &workload.Stream{Name: "quiet", Pairs: []workload.OperandPair{{A: 5, B: 5}, {A: 5, B: 5}}}
-	if _, err := u.CalibrateBaseClock(cells.Corner{V: 1, T: 25}, quiet); err == nil {
+	if _, err := u.CalibrateBaseClockOptsContext(context.Background(), cells.Corner{V: 1, T: 25}, quiet, CharacterizeOptions{}); err == nil {
 		t.Error("calibration accepted a stream with no output activity")
 	}
 }
@@ -58,7 +59,7 @@ func TestModelPointErrorAndTER(t *testing.T) {
 	}
 	c := cells.Corner{V: 0.9, T: 50}
 	s := workload.RandomInt(401, 8)
-	tr, err := Characterize(u, c, s, nil)
+	tr, err := CharacterizeOptsContext(context.Background(), u, c, s, nil, CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +69,18 @@ func TestModelPointErrorAndTER(t *testing.T) {
 	}
 	cur, prev := s.Pairs[1], s.Pairs[0]
 	d := m.PredictDelay(c, cur, prev)
-	if m.PredictError(c, cur, prev, d+1) {
-		t.Error("PredictError true above the predicted delay")
-	}
-	if !m.PredictError(c, cur, prev, d-1) {
-		t.Error("PredictError false below the predicted delay")
+	one := &workload.Stream{Pairs: []workload.OperandPair{prev, cur}}
+	for _, tc := range []struct {
+		tclk float64
+		want bool
+	}{{d + 1, false}, {d - 1, true}} {
+		errs, err := m.Errors(c, one, tc.tclk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(errs) != 1 || errs[0] != tc.want {
+			t.Errorf("Errors at tclk = predicted delay %+g = %v, want [%v]", tc.tclk-d, errs, tc.want)
+		}
 	}
 	ter, err := m.TER(c, s, 0.0001)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"tevot/internal/cells"
@@ -18,7 +19,7 @@ func TestModelFeatureImportance(t *testing.T) {
 	}
 	c := cells.Corner{V: 0.9, T: 25}
 	s := workload.RandomFloat(1501, 1e6, 61)
-	tr, err := Characterize(u, c, s, nil)
+	tr, err := CharacterizeOptsContext(context.Background(), u, c, s, nil, CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestTopFeaturesBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cells.Corner{V: 1, T: 25}
-	tr, err := Characterize(u, c, workload.RandomInt(201, 1), nil)
+	tr, err := CharacterizeOptsContext(context.Background(), u, c, workload.RandomInt(201, 1), nil, CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

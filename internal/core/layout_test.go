@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"tevot/internal/cells"
@@ -37,10 +38,14 @@ func TestEnableLayoutSlowsTiming(t *testing.T) {
 
 	// Full flow on the placed unit: characterize, train, evaluate.
 	s := workload.RandomInt(601, 77)
-	if _, err := u.CalibrateBaseClock(corner, s); err != nil {
+	if _, err := u.CalibrateBaseClockOptsContext(context.Background(), corner, s, CharacterizeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := CharacterizeWithSpeedups(u, corner, s, []float64{0.10})
+	clocks, err := u.ClockPeriods(corner, []float64{0.10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := CharacterizeOptsContext(context.Background(), u, corner, s, clocks, CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

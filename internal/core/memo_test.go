@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"tevot/internal/cells"
@@ -63,11 +64,11 @@ func TestMemoHitRateImagingStreams(t *testing.T) {
 				t.Fatal(err)
 			}
 			clocks := []float64{200, 400}
-			on, err := CharacterizeOpts(u, corner, s, clocks, CharacterizeOptions{Workers: 1})
+			on, err := CharacterizeOptsContext(context.Background(), u, corner, s, clocks, CharacterizeOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			off, err := CharacterizeOpts(u, corner, s, clocks, CharacterizeOptions{Workers: 1, MemoOff: true})
+			off, err := CharacterizeOptsContext(context.Background(), u, corner, s, clocks, CharacterizeOptions{Workers: 1, MemoOff: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -167,13 +167,11 @@ func flatten(traces []*Trace, k int) (X [][]float64, y []float64, e []bool, err 
 	e = make([]bool, 0, total)
 	row := 0
 	for _, tr := range traces {
-		pairs := tr.Stream.Pairs
-		for i := 0; i < tr.Cycles(); i++ {
-			features.VectorInto(X[row], tr.Corner, pairs[i+1], pairs[i])
-			row++
-			y = append(y, tr.Delays[i])
-			e = append(e, tr.Errors[k][i])
-		}
+		n := tr.Cycles()
+		fillRows(X[row:row+n], true, tr.Corner, tr.Stream.Pairs)
+		row += n
+		y = append(y, tr.Delays...)
+		e = append(e, tr.Errors[k][:n]...)
 	}
 	return X, y, e, nil
 }

@@ -70,16 +70,10 @@ func Train(fu circuits.FU, traces []*Trace, cfg Config) (*Model, error) {
 	y := make([]float64, 0, total)
 	row := 0
 	for _, tr := range traces {
-		pairs := tr.Stream.Pairs
-		for i := 0; i < tr.Cycles(); i++ {
-			if cfg.History {
-				features.VectorInto(X[row], tr.Corner, pairs[i+1], pairs[i])
-			} else {
-				features.VectorNHInto(X[row], tr.Corner, pairs[i+1])
-			}
-			row++
-			y = append(y, tr.Delays[i])
-		}
+		n := tr.Cycles()
+		fillRows(X[row:row+n], cfg.History, tr.Corner, tr.Stream.Pairs)
+		row += n
+		y = append(y, tr.Delays...)
 	}
 	endFeat()
 	forest := ml.NewRandomForest(cfg.Forest)
@@ -95,34 +89,9 @@ func Train(fu circuits.FU, traces []*Trace, cfg Config) (*Model, error) {
 // PredictDelay estimates the dynamic delay (ps) of applying cur after
 // prev at the given corner. For history-free models prev is ignored.
 func (m *Model) PredictDelay(corner cells.Corner, cur, prev workload.OperandPair) float64 {
-	var x []float64
-	if m.History {
-		x = features.Vector(corner, cur, prev)
-	} else {
-		x = features.VectorNH(corner, cur)
-	}
+	x := make([]float64, m.dim)
+	fillRows([][]float64{x}, m.History, corner, []workload.OperandPair{prev, cur})
 	return m.forest.Predict(x)
-}
-
-// PredictError classifies one cycle at clock period tclk (ps): erroneous
-// when the predicted delay exceeds the period.
-func (m *Model) PredictError(corner cells.Corner, cur, prev workload.OperandPair, tclk float64) bool {
-	return m.PredictDelay(corner, cur, prev) > tclk
-}
-
-// PredictErrors classifies every cycle of a stream at one clock period.
-// Cycle i applies s.Pairs[i+1] after s.Pairs[i]; the result has
-// s.Len()-1 entries.
-func (m *Model) PredictErrors(corner cells.Corner, s *workload.Stream, tclk float64) ([]bool, error) {
-	delays, err := m.PredictDelays(corner, s)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(delays))
-	for i, d := range delays {
-		out[i] = d > tclk
-	}
-	return out, nil
 }
 
 // Dim returns the model's feature-vector width (features.Dim with
@@ -145,16 +114,12 @@ func (m *Model) FillFeatureRows(X [][]float64, corner cells.Corner, pairs []work
 	if len(X) < n {
 		return fmt.Errorf("core: scratch holds %d rows, need %d", len(X), n)
 	}
-	for i := 0; i < n; i++ {
-		if len(X[i]) != m.dim {
-			return fmt.Errorf("core: scratch row %d has width %d, model wants %d", i, len(X[i]), m.dim)
-		}
-		if m.History {
-			features.VectorInto(X[i], corner, pairs[i+1], pairs[i])
-		} else {
-			features.VectorNHInto(X[i], corner, pairs[i+1])
+	for i, x := range X[:n] {
+		if len(x) != m.dim {
+			return fmt.Errorf("core: scratch row %d has width %d, model wants %d", i, len(x), m.dim)
 		}
 	}
+	fillRows(X[:n], m.History, corner, pairs)
 	return nil
 }
 
@@ -169,27 +134,6 @@ func (m *Model) PredictRowsInto(dst []float64, X [][]float64) error {
 	return nil
 }
 
-// PredictDelaysPairsInto is the zero-allocation serving path: it
-// predicts the dynamic delay of cycle i (pairs[i+1] applied after
-// pairs[i]) for i in [0, len(pairs)-1), writing into dst. X is caller
-// scratch of at least len(pairs)-1 rows, each of width Dim(); row
-// contents are overwritten. Neither dst nor X are retained. The steady
-// state allocates nothing, so a prediction server can hold one buffer
-// set per worker and stay off the garbage collector entirely.
-func (m *Model) PredictDelaysPairsInto(dst []float64, X [][]float64, corner cells.Corner, pairs []workload.OperandPair) error {
-	n := len(pairs) - 1
-	if n < 1 {
-		return fmt.Errorf("core: need at least 2 operand pairs, got %d", len(pairs))
-	}
-	if len(dst) < n {
-		return fmt.Errorf("core: dst holds %d delays, need %d", len(dst), n)
-	}
-	if err := m.FillFeatureRows(X[:n], corner, pairs); err != nil {
-		return err
-	}
-	return m.PredictRowsInto(dst[:n], X[:n])
-}
-
 // PredictDelays estimates the dynamic delay of every cycle of a stream.
 func (m *Model) PredictDelays(corner cells.Corner, s *workload.Stream) ([]float64, error) {
 	if s.Len() < 2 {
@@ -197,18 +141,28 @@ func (m *Model) PredictDelays(corner cells.Corner, s *workload.Stream) ([]float6
 	}
 	endFeat := obs.Time("features.extract")
 	X := featureRows(s.Len()-1, m.dim)
-	for i := 0; i < s.Len()-1; i++ {
-		if m.History {
-			features.VectorInto(X[i], corner, s.Pairs[i+1], s.Pairs[i])
-		} else {
-			features.VectorNHInto(X[i], corner, s.Pairs[i+1])
-		}
-	}
+	fillRows(X, m.History, corner, s.Pairs)
 	endFeat()
 	endPred := obs.Time("forest.predict")
 	out := m.forest.PredictBatch(X)
 	endPred()
 	return out, nil
+}
+
+// fillRows is the one place the paper's feature-row layout is chosen:
+// row i describes cycle i, which applies pairs[i+1] after pairs[i], as
+// {x[t], x[t-1], V, T} with history or {x[t], V, T} without. pairs must
+// hold at least len(X)+1 entries and every row the layout's width.
+func fillRows(X [][]float64, history bool, corner cells.Corner, pairs []workload.OperandPair) {
+	if history {
+		for i, x := range X {
+			features.VectorInto(x, corner, pairs[i+1], pairs[i])
+		}
+		return
+	}
+	for i, x := range X {
+		features.VectorNHInto(x, corner, pairs[i+1])
+	}
 }
 
 // featureRows carves n rows of width dim out of one contiguous backing
@@ -265,7 +219,7 @@ func (m *Model) TopFeatures(k int) []string {
 // corner and clock period — the quantity injected into applications in
 // the quality study.
 func (m *Model) TER(corner cells.Corner, s *workload.Stream, tclk float64) (float64, error) {
-	errs, err := m.PredictErrors(corner, s, tclk)
+	errs, err := m.Errors(corner, s, tclk)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -62,11 +63,11 @@ func TestCharacterizeShardingDeterminism(t *testing.T) {
 			// Aggressive and mild capture clocks, so the error matrices hold
 			// a mix of both outcomes.
 			clocks := []float64{0.5 * static.Delay, 0.9 * static.Delay}
-			seq, err := CharacterizeOpts(u, corner, stream, clocks, CharacterizeOptions{Workers: 1})
+			seq, err := CharacterizeOptsContext(context.Background(), u, corner, stream, clocks, CharacterizeOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := CharacterizeOpts(u, corner, stream, clocks, CharacterizeOptions{Workers: 8})
+			par, err := CharacterizeOptsContext(context.Background(), u, corner, stream, clocks, CharacterizeOptions{Workers: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,11 +94,11 @@ func TestCharacterizeRefKernelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	clocks := []float64{0.5 * static.Delay, 0.9 * static.Delay}
-	fast, err := CharacterizeOpts(u, corner, stream, clocks, CharacterizeOptions{Workers: 4})
+	fast, err := CharacterizeOptsContext(context.Background(), u, corner, stream, clocks, CharacterizeOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := CharacterizeOpts(u, corner, stream, clocks, CharacterizeOptions{Workers: 4, RefKernel: true})
+	ref, err := CharacterizeOptsContext(context.Background(), u, corner, stream, clocks, CharacterizeOptions{Workers: 4, RefKernel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestCharacterizeConcurrentSharedFUnit(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			traces[i], errs[i] = CharacterizeOpts(u, corner, stream, clocks, CharacterizeOptions{Workers: 4})
+			traces[i], errs[i] = CharacterizeOptsContext(context.Background(), u, corner, stream, clocks, CharacterizeOptions{Workers: 4})
 		}(i)
 	}
 	wg.Wait()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math/rand"
@@ -19,7 +20,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	}
 	c := cells.Corner{V: 0.88, T: 50}
 	s := workload.RandomInt(501, 9)
-	tr, err := Characterize(u, c, s, nil)
+	tr, err := CharacterizeOptsContext(context.Background(), u, c, s, nil, CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func trainedModelBytes(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Characterize(u, cells.Corner{V: 0.88, T: 50}, workload.RandomInt(401, 11), nil)
+	tr, err := CharacterizeOptsContext(context.Background(), u, cells.Corner{V: 0.88, T: 50}, workload.RandomInt(401, 11), nil, CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

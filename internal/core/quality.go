@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -143,7 +144,7 @@ func QualityStudy(
 					return nil, err
 				}
 				tclk := clocks[0]
-				tr, err := Characterize(u, corner, streams[fu], []float64{tclk})
+				tr, err := CharacterizeOptsContext(context.Background(), u, corner, streams[fu], clocks, CharacterizeOptions{})
 				if err != nil {
 					return nil, err
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"tevot/internal/cells"
@@ -18,14 +19,18 @@ func TestCompareMethods(t *testing.T) {
 	c := cells.Corner{V: 0.85, T: 50}
 	train := workload.RandomInt(1201, 31)
 	test := workload.RandomInt(601, 32)
-	if _, err := u.CalibrateBaseClock(c, train); err != nil {
+	if _, err := u.CalibrateBaseClockOptsContext(context.Background(), c, train, CharacterizeOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	trTrain, err := CharacterizeWithSpeedups(u, c, train, []float64{0.10})
+	clocks, err := u.ClockPeriods(c, []float64{0.10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trTest, err := CharacterizeWithSpeedups(u, c, test, []float64{0.10})
+	trTrain, err := CharacterizeOptsContext(context.Background(), u, c, train, clocks, CharacterizeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trTest, err := CharacterizeOptsContext(context.Background(), u, c, test, clocks, CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +78,14 @@ func TestQualityStudySmall(t *testing.T) {
 	predictors := map[circuits.FU]ErrorPredictor{}
 	for fu, u := range units {
 		train := workload.Random(fu.IsFloat(), 601, int64(fu))
-		if _, err := u.CalibrateBaseClock(corner, train); err != nil {
+		if _, err := u.CalibrateBaseClockOptsContext(context.Background(), corner, train, CharacterizeOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		tr, err := CharacterizeWithSpeedups(u, corner, train, []float64{0.10})
+		clocks, err := u.ClockPeriods(corner, []float64{0.10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := CharacterizeOptsContext(context.Background(), u, corner, train, clocks, CharacterizeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

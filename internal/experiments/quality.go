@@ -37,7 +37,11 @@ func trainedModels(lab *Lab, fus []circuits.FU) ([]core.QualityModel, error) {
 			if _, err := u.CalibrateBaseClockOptsContext(context.Background(), corner, train, opts); err != nil {
 				return nil, err
 			}
-			tr, err := core.CharacterizeWithSpeedupsOptsContext(context.Background(), u, corner, train, lab.Scale.Speedups, opts)
+			clocks, err := u.ClockPeriods(corner, lab.Scale.Speedups)
+			if err != nil {
+				return nil, err
+			}
+			tr, err := core.CharacterizeOptsContext(context.Background(), u, corner, train, clocks, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -52,7 +56,7 @@ func trainedModels(lab *Lab, fus []circuits.FU) ([]core.QualityModel, error) {
 				if err != nil {
 					return nil, err
 				}
-				trApp, err := core.CharacterizeWithSpeedupsOptsContext(context.Background(), u, corner, appTrain, lab.Scale.Speedups, opts)
+				trApp, err := core.CharacterizeOptsContext(context.Background(), u, corner, appTrain, clocks, opts)
 				if err != nil {
 					return nil, err
 				}
@@ -156,7 +160,7 @@ func Fig4(lab *Lab) ([]Fig4Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr, err := core.Characterize(u, corner, s, clocks)
+		tr, err := core.CharacterizeOptsContext(context.Background(), u, corner, s, clocks, core.CharacterizeOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +215,7 @@ func Speedup(lab *Lab, fu circuits.FU) (*SpeedupResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := core.Characterize(u, corner, train, nil)
+	tr, err := core.CharacterizeOptsContext(context.Background(), u, corner, train, nil, core.CharacterizeOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +225,7 @@ func Speedup(lab *Lab, fu circuits.FU) (*SpeedupResult, error) {
 	}
 
 	t0 := time.Now()
-	if _, err := core.Characterize(u, corner, test, nil); err != nil {
+	if _, err := core.CharacterizeOptsContext(context.Background(), u, corner, test, nil, core.CharacterizeOptions{}); err != nil {
 		return nil, err
 	}
 	simT := time.Since(t0)

@@ -164,7 +164,11 @@ func table3ForFU(ctx context.Context, lab *Lab, fu circuits.FU, opts core.Charac
 		if _, err := u.CalibrateBaseClockOptsContext(ctx, corner, randTrain, opts); err != nil {
 			return nil, err
 		}
-		trRand, err := core.CharacterizeWithSpeedupsOptsContext(ctx, u, corner, randTrain, lab.Scale.Speedups, opts)
+		clocks, err := u.ClockPeriods(corner, lab.Scale.Speedups)
+		if err != nil {
+			return nil, err
+		}
+		trRand, err := core.CharacterizeOptsContext(ctx, u, corner, randTrain, clocks, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +178,7 @@ func table3ForFU(ctx context.Context, lab *Lab, fu circuits.FU, opts core.Charac
 			if err != nil {
 				return nil, err
 			}
-			trApp, err := core.CharacterizeWithSpeedupsOptsContext(ctx, u, corner, appTrain, lab.Scale.Speedups, opts)
+			trApp, err := core.CharacterizeOptsContext(ctx, u, corner, appTrain, clocks, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -211,7 +215,11 @@ func table3ForFU(ctx context.Context, lab *Lab, fu circuits.FU, opts core.Charac
 		}
 		var testTraces []*core.Trace
 		for _, corner := range lab.Scale.Corners {
-			tr, err := core.CharacterizeWithSpeedupsOptsContext(ctx, u, corner, testStream, lab.Scale.Speedups, opts)
+			clocks, err := u.ClockPeriods(corner, lab.Scale.Speedups)
+			if err != nil {
+				return nil, err
+			}
+			tr, err := core.CharacterizeOptsContext(ctx, u, corner, testStream, clocks, opts)
 			if err != nil {
 				return nil, err
 			}

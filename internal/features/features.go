@@ -37,16 +37,9 @@ func VectorInto(dst []float64, corner cells.Corner, cur, prev workload.OperandPa
 	dst[129] = corner.T
 }
 
-// VectorNH builds the 66-dimensional history-free feature (TEVoT-NH):
-// current pair bits, V, T.
-func VectorNH(corner cells.Corner, cur workload.OperandPair) []float64 {
-	x := make([]float64, DimNH)
-	VectorNHInto(x, corner, cur)
-	return x
-}
-
-// VectorNHInto is VectorNH writing into the caller-provided dst (which
-// must have DimNH entries).
+// VectorNHInto writes the 66-dimensional history-free feature
+// (TEVoT-NH) — current pair bits, V, T — into dst, which must have
+// DimNH entries.
 func VectorNHInto(dst []float64, corner cells.Corner, cur workload.OperandPair) {
 	fillBits(dst[0:64], cur)
 	dst[64] = corner.V

@@ -34,10 +34,8 @@ func TestVectorLayout(t *testing.T) {
 
 func TestVectorNHLayout(t *testing.T) {
 	c := cells.Corner{V: 1.0, T: 0}
-	x := VectorNH(c, workload.OperandPair{A: 3, B: 0})
-	if len(x) != DimNH {
-		t.Fatalf("len = %d, want %d", len(x), DimNH)
-	}
+	x := make([]float64, DimNH)
+	VectorNHInto(x, c, workload.OperandPair{A: 3, B: 0})
 	if x[0] != 1 || x[1] != 1 || x[2] != 0 {
 		t.Error("cur.A bits misplaced")
 	}

@@ -33,7 +33,7 @@ func trainFU(t *testing.T, fu circuits.FU, cycles int, seed int64) *core.Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := core.Characterize(u, cells.Corner{V: 0.88, T: 50}, workload.RandomInt(cycles, seed), nil)
+	tr, err := core.CharacterizeOptsContext(context.Background(), u, cells.Corner{V: 0.88, T: 50}, workload.RandomInt(cycles, seed), nil, core.CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -345,7 +345,7 @@ func trainedMulModel(t *testing.T) *core.Model {
 			mulErr = err
 			return
 		}
-		tr, err := core.Characterize(u, cells.Corner{V: 0.88, T: 50}, workload.RandomInt(201, 11), nil)
+		tr, err := core.CharacterizeOptsContext(context.Background(), u, cells.Corner{V: 0.88, T: 50}, workload.RandomInt(201, 11), nil, core.CharacterizeOptions{})
 		if err != nil {
 			mulErr = err
 			return

@@ -33,7 +33,7 @@ func benchModel() (*core.Model, error) {
 			benchModelErr = err
 			return
 		}
-		tr, err := core.Characterize(u, cells.Corner{V: 0.88, T: 50}, workload.RandomInt(201, 7), nil)
+		tr, err := core.CharacterizeOptsContext(context.Background(), u, cells.Corner{V: 0.88, T: 50}, workload.RandomInt(201, 7), nil, core.CharacterizeOptions{})
 		if err != nil {
 			benchModelErr = err
 			return

@@ -34,16 +34,6 @@ func (s *Server) Reload(path string) (int64, error) {
 	return s.reloadUnit(s.units[0], path)
 }
 
-// ReloadFU reloads one functional unit's model by FU name.
-func (s *Server) ReloadFU(fu, path string) (int64, error) {
-	u, ok := s.unitFor(fu)
-	if !ok {
-		mReloadBad.Inc()
-		return 0, fmt.Errorf("serve: no model serves %q; units: %v", fu, s.FUs())
-	}
-	return s.reloadUnit(u, path)
-}
-
 // ReloadAll reloads every unit from its current model path (the SIGHUP
 // behavior). Units without a path, or with a rejected candidate, keep
 // serving their current model; the first error is returned after every
@@ -124,17 +114,10 @@ func probeModel(m *core.Model) (err error) {
 			err = fmt.Errorf("serve: model probe panicked: %v", p)
 		}
 	}()
-	pairs := workload.Random(m.FU.IsFloat(), 9, 12345).Pairs
-	n := len(pairs) - 1
-	dim := m.Dim()
-	backing := make([]float64, n*dim)
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = backing[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	delays := make([]float64, n)
+	probe := workload.Random(m.FU.IsFloat(), 9, 12345)
 	for _, corner := range []cells.Corner{{V: 0.90, T: 25}, {V: 0.72, T: 75}} {
-		if err := m.PredictDelaysPairsInto(delays, rows, corner, pairs); err != nil {
+		delays, err := m.PredictDelays(corner, probe)
+		if err != nil {
 			return fmt.Errorf("serve: model probe at %v failed: %w", corner, err)
 		}
 		for i, d := range delays {

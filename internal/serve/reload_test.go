@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -184,7 +185,7 @@ func trainedTrace(t *testing.T) []*core.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := core.Characterize(u, cells.Corner{V: 0.88, T: 50}, workload.RandomInt(301, 5), nil)
+	tr, err := core.CharacterizeOptsContext(context.Background(), u, cells.Corner{V: 0.88, T: 50}, workload.RandomInt(301, 5), nil, core.CharacterizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func trainModel(seed int64) (*core.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := core.Characterize(u, cells.Corner{V: 0.88, T: 50}, workload.RandomInt(401, seed), nil)
+	tr, err := core.CharacterizeOptsContext(context.Background(), u, cells.Corner{V: 0.88, T: 50}, workload.RandomInt(401, seed), nil, core.CharacterizeOptions{})
 	if err != nil {
 		return nil, err
 	}

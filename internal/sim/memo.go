@@ -33,8 +33,11 @@ import "encoding/binary"
 // DefaultMemoSize is the transition-cache entry cap EnableMemo applies
 // when the caller passes size <= 0. At 64 Ki transitions the cache
 // covers the repeat set of the imaging operand streams with room to
-// spare while bounding worst-case memory to tens of megabytes even on
-// the toggle-heavy multipliers.
+// spare. The cap bounds entries, not bytes: an entry's toggle trains
+// dominate its size, and on the toggle-heavy INT_MUL
+// (BenchmarkCharacterizeMemo -benchmem, Sobel stream) a stored entry
+// averages ≈10.1 KB, so a full cache holds ≈660 MB per runner — and a
+// sharded characterization runs one runner per shard.
 const DefaultMemoSize = 1 << 16
 
 // MemoStats is a point-in-time snapshot of a Runner's transition-cache

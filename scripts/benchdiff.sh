@@ -9,12 +9,16 @@
 # shift flags a semantic change in the kernel. Improvements beyond the
 # threshold are called out as such.
 #
-# Benchmarks present on only one side never fail the gate: new ones
-# (added since the baseline) are listed as "new", removed ones as
-# "removed". Metrics present on only one side (e.g. a baseline written
-# before cycles/s existed) are skipped, not failed. The comparison exits
-# 2 only when the inputs are unusable (missing files, no benchmarks at
-# all).
+# Names are compared without go test's trailing GOMAXPROCS suffix, so
+# BenchmarkCycle/INT_ADD-2 and BenchmarkCycle/INT_ADD are the same
+# benchmark. Benchmarks present on only one side are listed as "new" or
+# "removed" and do not fail the gate by themselves, but a diff that
+# compares nothing (no shared benchmark with ns/op on both sides) exits
+# 1: an empty comparison proves nothing. Metrics present on only one
+# side (e.g. a baseline written before cycles/s existed) are skipped,
+# not failed. The comparison exits 2 when the inputs are unusable
+# (missing files, no benchmarks at all, or one file holding the same
+# benchmark at two GOMAXPROCS values).
 #
 # Usage: sh scripts/benchdiff.sh old.json new.json [threshold-pct]
 set -eu
@@ -24,15 +28,23 @@ if [ $# -lt 2 ]; then
 fi
 
 python3 - "$1" "$2" "${3:-10}" <<'EOF'
-import json, sys
+import json, re, sys
 
 def load(path):
     try:
         with open(path) as f:
-            return json.load(f).get("benchmarks", {})
+            raw = json.load(f).get("benchmarks", {})
     except (OSError, json.JSONDecodeError) as e:
         print(f"benchdiff: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
+    out = {}
+    for name, metrics in raw.items():
+        base = re.sub(r"-\d+$", "", name)
+        if base in out:
+            print(f"benchdiff: {path} holds {base} at more than one GOMAXPROCS", file=sys.stderr)
+            sys.exit(2)
+        out[base] = metrics
+    return out
 
 old = load(sys.argv[1])
 new = load(sys.argv[2])
@@ -119,7 +131,7 @@ if removed:
     notes.append(f"{len(removed)} removed")
 suffix = f"; {', '.join(notes)}" if notes else ""
 if compared == 0:
-    print(f"\nbenchdiff: no shared benchmarks to gate on{suffix} — nothing regressed")
-else:
-    print(f"\nbenchdiff: ok ({compared} compared, no ns/op or cycles/s regression above {threshold:.0f}%{suffix})")
+    print(f"\nbenchdiff: no shared benchmark with ns/op on both sides{suffix} — nothing was compared", file=sys.stderr)
+    sys.exit(1)
+print(f"\nbenchdiff: ok ({compared} compared, no ns/op or cycles/s regression above {threshold:.0f}%{suffix})")
 EOF

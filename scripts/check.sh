@@ -14,6 +14,17 @@ go vet ./...
 echo "== lint: no raw print/log in library packages"
 sh scripts/lintobs.sh
 
+echo "== benchdiff fixtures: GOMAXPROCS suffixes compare, disjoint names fail"
+sh scripts/benchdiff.sh scripts/testdata/benchdiff_suffix_old.json \
+	scripts/testdata/benchdiff_suffix_new.json | grep -q '(2 compared'
+rc=0
+sh scripts/benchdiff.sh scripts/testdata/benchdiff_disjoint_old.json \
+	scripts/testdata/benchdiff_disjoint_new.json >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 1 ]; then
+	echo "benchdiff on disjoint benchmark sets exited $rc, want 1" >&2
+	exit 1
+fi
+
 echo "== observability smoke: -debug-addr endpoint + run manifest"
 go test -run 'TestDebugEndpointSmoke' ./cmd/tevot-sweep
 

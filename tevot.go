@@ -13,16 +13,18 @@
 //	fu, _ := tevot.NewFunctionalUnit(tevot.IntAdd32)
 //	corner := tevot.Corner{V: 0.85, T: 50}
 //	train := tevot.RandomWorkload(tevot.IntAdd32, 20000, 1)
-//	base, _ := fu.CalibrateBaseClock(corner, train)
+//	base, _ := tevot.CalibrateBaseClock(fu, corner, train)
 //	trace, _ := tevot.Characterize(fu, corner, train, nil)
 //	model, _ := tevot.Train(tevot.IntAdd32, []*tevot.Trace{trace}, tevot.DefaultConfig())
-//	errs, _ := model.PredictErrors(corner, test, base/1.10) // 10 % overclock
+//	errs, _ := model.Errors(corner, test, base/1.10) // 10 % overclock
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record of every table and figure.
 package tevot
 
 import (
+	"context"
+	"fmt"
 	"io"
 
 	"tevot/internal/cells"
@@ -90,13 +92,27 @@ type Trace = core.Trace
 // capture periods (ps) for ground-truth error labels; nil for
 // delays only.
 func Characterize(u *FUnit, corner Corner, s *Stream, clocks []float64) (*Trace, error) {
-	return core.Characterize(u, corner, s, clocks)
+	return core.CharacterizeOptsContext(context.Background(), u, corner, s, clocks, core.CharacterizeOptions{})
 }
 
 // CharacterizeWithSpeedups derives the capture periods from the unit's
 // error-free base clock: period = base / (1 + speedup).
 func CharacterizeWithSpeedups(u *FUnit, corner Corner, s *Stream, speedups []float64) (*Trace, error) {
-	return core.CharacterizeWithSpeedups(u, corner, s, speedups)
+	if u == nil {
+		return nil, fmt.Errorf("tevot: CharacterizeWithSpeedups called with a nil functional unit")
+	}
+	clocks, err := u.ClockPeriods(corner, speedups)
+	if err != nil {
+		return nil, err
+	}
+	return Characterize(u, corner, s, clocks)
+}
+
+// CalibrateBaseClock measures the unit's max dynamic delay over a
+// stream at a corner and installs it as the error-free base clock that
+// CharacterizeWithSpeedups divides, returning it (ps).
+func CalibrateBaseClock(u *FUnit, corner Corner, s *Stream) (float64, error) {
+	return u.CalibrateBaseClockOptsContext(context.Background(), corner, s, core.CharacterizeOptions{})
 }
 
 // Config controls model training; DefaultConfig is the paper's setup

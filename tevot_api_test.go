@@ -17,7 +17,7 @@ func TestPublicAPIFlow(t *testing.T) {
 	}
 	corner := tevot.Corner{V: 0.85, T: 50}
 	train := tevot.RandomWorkload(tevot.IntAdd32, 800, 1)
-	base, err := fu.CalibrateBaseClock(corner, train)
+	base, err := tevot.CalibrateBaseClock(fu, corner, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestPublicAPIFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	test := tevot.RandomWorkload(tevot.IntAdd32, 300, 2)
-	errs, err := model.PredictErrors(corner, test, base/1.10)
+	errs, err := model.Errors(corner, test, base/1.10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestPublicAPIBaselines(t *testing.T) {
 	}
 	corner := tevot.Corner{V: 0.81, T: 0}
 	train := tevot.RandomWorkload(tevot.IntAdd32, 600, 3)
-	if _, err := fu.CalibrateBaseClock(corner, train); err != nil {
+	if _, err := tevot.CalibrateBaseClock(fu, corner, train); err != nil {
 		t.Fatal(err)
 	}
 	trace, err := tevot.CharacterizeWithSpeedups(fu, corner, train, []float64{0.10})
